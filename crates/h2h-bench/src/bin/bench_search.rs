@@ -1,6 +1,6 @@
 //! Search-efficiency benchmark: runs the step-4 remapping loop with the
-//! incremental delta engine (sweeping scoring thread counts and
-//! bandwidth classes) and with the per-candidate full-re-evaluation
+//! incremental delta engine (sweeping scoring strategies, bandwidth
+//! classes and fabrics) and with the per-candidate full-re-evaluation
 //! reference on every zoo model, checks that every configuration
 //! reproduces the reference mapping bit-exactly, and emits
 //! `BENCH_search.json` so the perf trajectory of the search core is
@@ -8,8 +8,8 @@
 //!
 //! ```text
 //! cargo run --release -p h2h-bench --bin bench_search -- [out.json]
-//!     [--models VFS,MoCap] [--bandwidths Low-,Mid] [--threads 1,2,4,8]
-//!     [--strategy adaptive,replay,full-eval] [--reps 3]
+//!     [--models VFS,MoCap] [--bandwidths Low-,Mid]
+//!     [--strategy adaptive,full-eval] [--reps 3]
 //!     [--min-large-speedup 1.1] [--profile]
 //!     [--topology uniform,skewed,switched] [--min-topology-gain 1.1]
 //! ```
@@ -17,14 +17,13 @@
 //! `--profile` arms the engine's per-phase wall-clock timers
 //! (`H2hConfig::profile_phases`) and attaches a `profile` object to
 //! every delta row: seconds spent in candidate scoring vs deferred
-//! cost propagation vs risky-guard resolution vs commit, summed across
-//! scoring lanes (≈ CPU-seconds, not elapsed time). The run fails if
+//! cost propagation vs risky-guard resolution vs commit. The run fails if
 //! any profiled row is malformed — a non-finite or negative bucket, or
 //! a row that attempted moves while reporting zero scoring time.
 //!
 //! `--topology` sweeps interconnect fabrics (specs as accepted by
 //! `h2h_system::topology::Topology::parse`). The `uniform` rows run
-//! the full strategy × thread matrix (and must stay bit-identical to
+//! every requested strategy (and must stay bit-identical to
 //! the scalar model); non-uniform rows run the adaptive strategy, are
 //! still checked bit-exactly against the per-candidate
 //! full-re-evaluation reference *on that fabric*, and additionally
@@ -42,8 +41,11 @@
 //! i.e. the ResNet-like zoo entries) reports `guards_skipped == 0` —
 //! dominance pruning must actually fire there. `--min-large-speedup`
 //! additionally fails any such adaptive row below the given wall-clock
-//! speedup vs the full-re-evaluation reference; CI's 2-thread smoke
-//! runs with `--min-large-speedup 1.1`.
+//! speedup vs the full-re-evaluation reference; CI's smoke runs with
+//! `--min-large-speedup 1.5`.
+//!
+//! `--help` prints the usage line and exits 0; an unknown flag or a
+//! malformed value exits 2.
 
 use std::time::Instant;
 
@@ -52,13 +54,14 @@ use serde::Serialize;
 use h2h_core::activation_fusion::rebuild_locality;
 use h2h_core::compute_map::computation_prioritized;
 use h2h_core::remap::{data_locality_remapping, data_locality_remapping_reference, RemapOutcome};
+use h2h_bench::cli::Cli;
 use h2h_core::{H2hConfig, PinPreset, ScoreStrategy};
 use h2h_system::mapping::Mapping;
 use h2h_system::schedule::Evaluator;
 use h2h_system::system::{BandwidthClass, SystemSpec};
 
-/// One (model, bandwidth, topology, threads) delta-vs-reference search
-/// record.
+/// One (model, bandwidth, topology, strategy) delta-vs-reference
+/// search record.
 #[derive(Debug, Serialize)]
 struct SearchRecord {
     model: String,
@@ -66,9 +69,6 @@ struct SearchRecord {
     /// Interconnect fabric spec (`uniform` = the scalar star).
     topology: String,
     layers: usize,
-    /// Requested scoring threads (effective parallelism is additionally
-    /// capped at the machine's cores; results are identical either way).
-    threads: usize,
     /// Candidate scoring strategy (see `h2h_core::ScoreStrategy`).
     strategy: String,
     attempted_moves: usize,
@@ -101,7 +101,7 @@ struct SearchRecord {
     topology_gain: Option<f64>,
     matches_reference: bool,
     /// Per-phase wall-clock breakdown of the timed delta run
-    /// (`--profile` only; summed across scoring lanes).
+    /// (`--profile` only).
     profile: Option<ProfileRecord>,
 }
 
@@ -161,85 +161,65 @@ impl ProfileRecord {
     }
 }
 
-fn parse_list(arg: &str) -> Vec<String> {
-    arg.split(',').map(|s| s.trim().to_owned()).filter(|s| !s.is_empty()).collect()
-}
+const USAGE: &str = "usage: bench_search [OUT.json] [--models A,B] [--bandwidths Low-,Mid] \
+[--strategy adaptive,full-eval] [--reps N] [--min-large-speedup X] [--profile] \
+[--topology uniform,skewed,switched] [--min-topology-gain X]";
 
 fn main() {
     let mut out_path = "BENCH_search.json".to_owned();
     let mut models_filter: Option<Vec<String>> = None;
     let mut bandwidths = vec!["Low-".to_owned(), "Mid".to_owned()];
-    let mut threads_sweep = vec![1usize, 2, 4, 8];
-    let mut strategies =
-        vec![ScoreStrategy::Adaptive, ScoreStrategy::Replay, ScoreStrategy::FullEval];
+    let mut strategies = vec![ScoreStrategy::Adaptive, ScoreStrategy::FullEval];
     let mut reps = 3usize;
     let mut min_large_speedup: Option<f64> = None;
     let mut topologies = vec!["uniform".to_owned(), "skewed".to_owned(), "switched".to_owned()];
     let mut min_topology_gain: Option<f64> = None;
     let mut profile_phases = false;
 
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        let mut value = |name: &str| {
-            args.next().unwrap_or_else(|| panic!("{name} needs a value"))
-        };
+    let mut cli = Cli::new(USAGE);
+    while let Some(arg) = cli.next_arg() {
         match arg.as_str() {
-            "--models" => models_filter = Some(parse_list(&value("--models"))),
-            "--bandwidths" => bandwidths = parse_list(&value("--bandwidths")),
-            "--threads" => {
-                threads_sweep = parse_list(&value("--threads"))
-                    .iter()
-                    .map(|t| t.parse().expect("--threads takes integers"))
-                    .collect();
-            }
+            "--models" => models_filter = Some(cli.list("--models")),
+            "--bandwidths" => bandwidths = cli.list("--bandwidths"),
             "--strategy" => {
-                strategies = parse_list(&value("--strategy"))
+                strategies = cli
+                    .list("--strategy")
                     .iter()
                     .map(|s| match s.as_str() {
                         "adaptive" => ScoreStrategy::Adaptive,
-                        "replay" => ScoreStrategy::Replay,
                         "full-eval" | "fulleval" => ScoreStrategy::FullEval,
-                        other => panic!("unknown strategy `{other}`"),
+                        other => cli.fail(format!("unknown strategy `{other}`")),
                     })
                     .collect();
             }
-            "--reps" => reps = value("--reps").parse().expect("--reps takes an integer"),
+            "--reps" => reps = cli.parsed("--reps"),
             "--profile" => profile_phases = true,
-            "--topology" => topologies = parse_list(&value("--topology")),
-            "--min-topology-gain" => {
-                min_topology_gain = Some(
-                    value("--min-topology-gain")
-                        .parse()
-                        .expect("--min-topology-gain takes a float"),
-                );
-            }
-            "--min-large-speedup" => {
-                min_large_speedup = Some(
-                    value("--min-large-speedup")
-                        .parse()
-                        .expect("--min-large-speedup takes a float"),
-                );
-            }
-            flag if flag.starts_with("--") => panic!("unknown flag `{flag}`"),
+            "--topology" => topologies = cli.list("--topology"),
+            "--min-topology-gain" => min_topology_gain = Some(cli.parsed("--min-topology-gain")),
+            "--min-large-speedup" => min_large_speedup = Some(cli.parsed("--min-large-speedup")),
+            flag if flag.starts_with("--") => cli.fail(format!("unknown flag `{flag}`")),
             path => out_path = path.to_owned(),
         }
     }
     let reps = reps.max(1);
-    assert!(!strategies.is_empty(), "--strategy list must not be empty");
+    if strategies.is_empty() {
+        cli.fail("--strategy list must not be empty");
+    }
 
     // A typo'd filter must not let the divergence check pass vacuously
     // (CI smoke-tests rely on this binary's exit code).
     if let Some(filter) = &models_filter {
         for name in filter {
-            assert!(
-                h2h_model::zoo::by_name(name).is_some(),
-                "--models entry `{name}` matches no zoo model (have: {})",
-                h2h_model::zoo::all_models()
-                    .iter()
-                    .map(|m| m.name().to_owned())
-                    .collect::<Vec<_>>()
-                    .join(", ")
-            );
+            if h2h_model::zoo::by_name(name).is_none() {
+                cli.fail(format!(
+                    "--models entry `{name}` matches no zoo model (have: {})",
+                    h2h_model::zoo::all_models()
+                        .iter()
+                        .map(|m| m.name().to_owned())
+                        .collect::<Vec<_>>()
+                        .join(", ")
+                ));
+            }
         }
     }
 
@@ -247,16 +227,16 @@ fn main() {
         .iter()
         .map(|label| {
             BandwidthClass::by_label(label)
-                .unwrap_or_else(|| panic!("unknown bandwidth class `{label}`"))
+                .unwrap_or_else(|| cli.fail(format!("unknown bandwidth class `{label}`")))
         })
         .collect();
 
     let mut records = Vec::new();
     let mut gate_failures = 0usize;
     println!(
-        "{:<10} {:>5} {:>9} {:>9} {:>7} {:>7} {:>9} {:>9} {:>9} {:>9} {:>9} {:>8}",
-        "model", "bw", "topology", "strategy", "threads", "layers", "attempts", "reduction",
-        "prefix", "g-skip", "speedup", "match"
+        "{:<10} {:>5} {:>9} {:>9} {:>7} {:>9} {:>9} {:>9} {:>9} {:>9} {:>8}",
+        "model", "bw", "topology", "strategy", "layers", "attempts", "reduction", "prefix",
+        "g-skip", "speedup", "match"
     );
     for bw in &bandwidths {
         let uniform_system = SystemSpec::standard(*bw);
@@ -268,7 +248,7 @@ fn main() {
             std::collections::HashMap::new();
         for topo_spec in &topologies {
         let system = SystemSpec::standard_with_topology(*bw, Some(topo_spec))
-            .unwrap_or_else(|e| panic!("--topology `{topo_spec}`: {e}"));
+            .unwrap_or_else(|e| cli.fail(format!("--topology `{topo_spec}`: {e}")));
         let fabric_uniform = system.topology().is_uniform();
         // Non-uniform fabrics sweep the adaptive strategy only (the
         // uniform rows already pin down strategy equivalence; these
@@ -357,138 +337,130 @@ fn main() {
             };
 
             // The per-candidate full-re-evaluation reference, shared by
-            // every strategy/thread row of this (model, bandwidth).
+            // every strategy row of this (model, bandwidth).
             let (reference_seconds, map_ref, reference) = time_best(&mut |m| {
                 data_locality_remapping_reference(&ev, &base_cfg, &PinPreset::new(), m)
             });
 
             for &strategy in &row_strategies {
-                for &threads in &threads_sweep {
-                    let cfg =
-                        H2hConfig { strategy, score_threads: threads, profile_phases, ..base_cfg };
-                    let (delta_seconds, map_delta, delta) = time_best(&mut |m| {
-                        data_locality_remapping(&ev, &cfg, &PinPreset::new(), m)
-                    });
-                    // Phase breakdown of the last timed sample (the
-                    // sample whose outcome the row reports).
-                    let profile =
-                        profile_phases.then(|| ProfileRecord::from_phases(&delta.profile));
-                    let profile_err = profile
-                        .as_ref()
-                        .and_then(|p| p.malformed(delta.stats.attempted_moves));
-                    if let Some(err) = &profile_err {
-                        eprintln!(
-                            "FAIL: {} @ {} ({}, {} threads): malformed profile record: {err}",
-                            model.name(),
-                            bw.label(),
-                            strategy.label(),
-                            threads
-                        );
-                    }
-                    let aware_latency = delta.schedule.makespan().as_f64();
-                    let topology_gain =
-                        blind_latency.map(|b| b / aware_latency.max(1e-15));
-                    if let Some(g) = topology_gain {
-                        if model.num_layers() > base_cfg.small_model_threshold {
-                            any_large = true;
-                            best_large_gain = best_large_gain.max(g);
-                        }
-                    }
-
-                    let matches_reference = map_delta == map_ref
-                        && (delta.schedule.makespan().as_f64()
-                            - reference.schedule.makespan().as_f64())
-                        .abs()
-                            <= reference.schedule.makespan().as_f64() * 1e-12;
-                    let reduction = if delta.stats.full_evals > 0 {
-                        reference.stats.full_evals as f64 / delta.stats.full_evals as f64
-                    } else {
-                        f64::INFINITY
-                    };
-                    let speedup = reference_seconds / delta_seconds.max(1e-12);
-                    // Dominance pruning must actually fire where it is
-                    // the point: adaptive rows on large risky models
-                    // route risky candidates through the guard replay,
-                    // so zero skipped guards there means the pruning
-                    // regressed. (FullEval rows never reach guards, and
-                    // small models fall back to plain full evaluation.)
-                    let guards_ok = strategy == ScoreStrategy::FullEval
-                        || !large_risky
-                        || delta.stats.guards_skipped > 0;
-                    let speedup_ok = strategy != ScoreStrategy::Adaptive
-                        || !large_risky
-                        || min_large_speedup.is_none_or(|min| speedup >= min);
-                    println!(
-                        "{:<10} {:>5} {:>9} {:>9} {:>7} {:>7} {:>9} {:>8.1}x {:>9} {:>9} {:>8.1}x {:>8}{}",
+                let cfg = H2hConfig { strategy, profile_phases, ..base_cfg };
+                let (delta_seconds, map_delta, delta) = time_best(&mut |m| {
+                    data_locality_remapping(&ev, &cfg, &PinPreset::new(), m)
+                });
+                // Phase breakdown of the last timed sample (the
+                // sample whose outcome the row reports).
+                let profile =
+                    profile_phases.then(|| ProfileRecord::from_phases(&delta.profile));
+                let profile_err = profile
+                    .as_ref()
+                    .and_then(|p| p.malformed(delta.stats.attempted_moves));
+                if let Some(err) = &profile_err {
+                    eprintln!(
+                        "FAIL: {} @ {} ({}): malformed profile record: {err}",
                         model.name(),
                         bw.label(),
-                        topo_spec,
-                        strategy.label(),
-                        threads,
-                        model.num_layers(),
-                        delta.stats.attempted_moves,
-                        reduction,
-                        delta.stats.prefix_evals,
-                        delta.stats.guards_skipped,
-                        speedup,
-                        matches_reference,
-                        topology_gain
-                            .map(|g| format!(" gain {g:.2}x"))
-                            .unwrap_or_default(),
+                        strategy.label()
                     );
-                    if !guards_ok {
-                        eprintln!(
-                            "FAIL: {} @ {} ({}, {} threads): guards_skipped == 0 on a large risky model",
-                            model.name(),
-                            bw.label(),
-                            strategy.label(),
-                            threads
-                        );
+                }
+                let aware_latency = delta.schedule.makespan().as_f64();
+                let topology_gain =
+                    blind_latency.map(|b| b / aware_latency.max(1e-15));
+                if let Some(g) = topology_gain {
+                    if model.num_layers() > base_cfg.small_model_threshold {
+                        any_large = true;
+                        best_large_gain = best_large_gain.max(g);
                     }
-                    if !speedup_ok {
-                        eprintln!(
-                            "FAIL: {} @ {} ({}, {} threads): speedup {:.2}x below the {:.2}x gate",
-                            model.name(),
-                            bw.label(),
-                            strategy.label(),
-                            threads,
-                            speedup,
-                            min_large_speedup.unwrap_or(0.0)
-                        );
-                    }
-                    records.push(SearchRecord {
-                        model: model.name().to_owned(),
-                        bandwidth: bw.label().to_owned(),
-                        topology: topo_spec.clone(),
-                        layers: model.num_layers(),
-                        threads,
-                        strategy: strategy.label().to_owned(),
-                        attempted_moves: delta.stats.attempted_moves,
-                        accepted_moves: delta.stats.accepted_moves,
-                        passes: delta.stats.passes,
-                        delta_evals: delta.stats.delta_evals,
-                        prefix_evals: delta.stats.prefix_evals,
-                        full_evals_delta: delta.stats.full_evals,
-                        full_evals_reference: reference.stats.full_evals,
-                        full_eval_reduction: reduction,
-                        propagations: delta.stats.propagations,
-                        mean_propagated_layers: delta.stats.mean_propagated(),
-                        max_propagated_layers: delta.stats.max_propagated,
-                        guards_total: delta.stats.guards_total,
-                        guards_skipped: delta.stats.guards_skipped,
-                        guard_reverts_fast: delta.stats.guard_reverts_fast,
-                        delta_seconds,
-                        reference_seconds,
-                        wall_clock_speedup: speedup,
-                        final_latency_s: aware_latency,
-                        topology_blind_latency_s: blind_latency,
-                        topology_gain,
-                        matches_reference,
-                        profile,
-                    });
-                    if !guards_ok || !speedup_ok || profile_err.is_some() {
-                        gate_failures += 1;
-                    }
+                }
+
+                let matches_reference = map_delta == map_ref
+                    && (delta.schedule.makespan().as_f64()
+                        - reference.schedule.makespan().as_f64())
+                    .abs()
+                        <= reference.schedule.makespan().as_f64() * 1e-12;
+                let reduction = if delta.stats.full_evals > 0 {
+                    reference.stats.full_evals as f64 / delta.stats.full_evals as f64
+                } else {
+                    f64::INFINITY
+                };
+                let speedup = reference_seconds / delta_seconds.max(1e-12);
+                // Dominance pruning must actually fire where it is
+                // the point: adaptive rows on large risky models
+                // route risky candidates through the guard replay,
+                // so zero skipped guards there means the pruning
+                // regressed. (FullEval rows never reach guards, and
+                // small models fall back to plain full evaluation.)
+                let guards_ok = strategy == ScoreStrategy::FullEval
+                    || !large_risky
+                    || delta.stats.guards_skipped > 0;
+                let speedup_ok = strategy != ScoreStrategy::Adaptive
+                    || !large_risky
+                    || min_large_speedup.is_none_or(|min| speedup >= min);
+                println!(
+                    "{:<10} {:>5} {:>9} {:>9} {:>7} {:>9} {:>8.1}x {:>9} {:>9} {:>8.1}x {:>8}{}",
+                    model.name(),
+                    bw.label(),
+                    topo_spec,
+                    strategy.label(),
+                    model.num_layers(),
+                    delta.stats.attempted_moves,
+                    reduction,
+                    delta.stats.prefix_evals,
+                    delta.stats.guards_skipped,
+                    speedup,
+                    matches_reference,
+                    topology_gain
+                        .map(|g| format!(" gain {g:.2}x"))
+                        .unwrap_or_default(),
+                );
+                if !guards_ok {
+                    eprintln!(
+                        "FAIL: {} @ {} ({}): guards_skipped == 0 on a large risky model",
+                        model.name(),
+                        bw.label(),
+                        strategy.label()
+                    );
+                }
+                if !speedup_ok {
+                    eprintln!(
+                        "FAIL: {} @ {} ({}): speedup {:.2}x below the {:.2}x gate",
+                        model.name(),
+                        bw.label(),
+                        strategy.label(),
+                        speedup,
+                        min_large_speedup.unwrap_or(0.0)
+                    );
+                }
+                records.push(SearchRecord {
+                    model: model.name().to_owned(),
+                    bandwidth: bw.label().to_owned(),
+                    topology: topo_spec.clone(),
+                    layers: model.num_layers(),
+                    strategy: strategy.label().to_owned(),
+                    attempted_moves: delta.stats.attempted_moves,
+                    accepted_moves: delta.stats.accepted_moves,
+                    passes: delta.stats.passes,
+                    delta_evals: delta.stats.delta_evals,
+                    prefix_evals: delta.stats.prefix_evals,
+                    full_evals_delta: delta.stats.full_evals,
+                    full_evals_reference: reference.stats.full_evals,
+                    full_eval_reduction: reduction,
+                    propagations: delta.stats.propagations,
+                    mean_propagated_layers: delta.stats.mean_propagated(),
+                    max_propagated_layers: delta.stats.max_propagated,
+                    guards_total: delta.stats.guards_total,
+                    guards_skipped: delta.stats.guards_skipped,
+                    guard_reverts_fast: delta.stats.guard_reverts_fast,
+                    delta_seconds,
+                    reference_seconds,
+                    wall_clock_speedup: speedup,
+                    final_latency_s: aware_latency,
+                    topology_blind_latency_s: blind_latency,
+                    topology_gain,
+                    matches_reference,
+                    profile,
+                });
+                if !guards_ok || !speedup_ok || profile_err.is_some() {
+                    gate_failures += 1;
                 }
             }
         }

@@ -57,10 +57,12 @@
 //! from the full evaluator (`matches_reference: false`), any
 //! SLO/budget ledger is incoherent, batched serving fails to beat
 //! the naive reference by `--min-speedup` on drain makespan, or a
-//! knapsack curve point fails the tail gate.
+//! knapsack curve point fails the tail gate. `--help` prints the usage
+//! line and exits 0; an unknown flag or a malformed value exits 2.
 
 use serde::Serialize;
 
+use h2h_bench::cli::Cli;
 use h2h_core::serve::{TenantRegistry, TenantSpec};
 use h2h_core::{ArrivalProcess, H2hConfig, RoundPolicy};
 use h2h_model::units::Seconds;
@@ -157,9 +159,11 @@ fn degraded_attainment(out: &h2h_core::serve::ServeOutcome) -> f64 {
     }
 }
 
-fn parse_list(arg: &str) -> Vec<String> {
-    arg.split(',').map(|s| s.trim().to_owned()).filter(|s| !s.is_empty()).collect()
-}
+const USAGE: &str = "usage: bench_serve [OUT.json] [--tenants NAME[:REQS[:HZ[:SLO_MS]]],...] \
+[--bandwidths Low-] [--max-batch N] [--budget-frac 1.0,0.1] [--min-speedup X] \
+[--topology uniform,skewed] [--faults board-down|nic-degrade|SPEC] \
+[--arrivals fixed|poisson:SEED|trace:PATH] [--policy knapsack,edf,wfair] \
+[--load-sweep 0.5,0.8,1.1] [--min-tail-gain X]";
 
 fn main() {
     let mut out_path = "BENCH_serve.json".to_owned();
@@ -189,59 +193,40 @@ fn main() {
     let mut load_sweep = vec![0.5f64, 0.8, 1.1];
     let mut min_tail_gain = 1.0f64;
 
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        let mut value = |name: &str| {
-            args.next().unwrap_or_else(|| panic!("{name} needs a value"))
-        };
+    let mut cli = Cli::new(USAGE);
+    while let Some(arg) = cli.next_arg() {
         match arg.as_str() {
-            "--tenants" => tenant_args = parse_list(&value("--tenants")),
-            "--bandwidths" => bandwidths = parse_list(&value("--bandwidths")),
-            "--max-batch" => {
-                max_batch = value("--max-batch").parse().expect("--max-batch takes an integer");
-            }
-            "--budget-frac" => {
-                budget_fracs = parse_list(&value("--budget-frac"))
-                    .iter()
-                    .map(|f| f.parse().expect("--budget-frac takes floats"))
-                    .collect();
-            }
-            "--min-speedup" => {
-                min_speedup =
-                    Some(value("--min-speedup").parse().expect("--min-speedup takes a float"));
-            }
-            "--topology" => topologies = parse_list(&value("--topology")),
-            "--faults" => fault_arg = Some(value("--faults")),
-            "--arrivals" => arrivals_arg = value("--arrivals"),
-            "--policy" => policies = parse_list(&value("--policy")),
-            "--load-sweep" => {
-                load_sweep = parse_list(&value("--load-sweep"))
-                    .iter()
-                    .map(|f| f.parse().expect("--load-sweep takes capacity fractions"))
-                    .collect();
-            }
-            "--min-tail-gain" => {
-                min_tail_gain =
-                    value("--min-tail-gain").parse().expect("--min-tail-gain takes a float");
-            }
-            flag if flag.starts_with("--") => panic!("unknown flag `{flag}`"),
+            "--tenants" => tenant_args = cli.list("--tenants"),
+            "--bandwidths" => bandwidths = cli.list("--bandwidths"),
+            "--max-batch" => max_batch = cli.parsed("--max-batch"),
+            "--budget-frac" => budget_fracs = cli.parsed_list("--budget-frac"),
+            "--min-speedup" => min_speedup = Some(cli.parsed("--min-speedup")),
+            "--topology" => topologies = cli.list("--topology"),
+            "--faults" => fault_arg = Some(cli.value("--faults")),
+            "--arrivals" => arrivals_arg = cli.value("--arrivals"),
+            "--policy" => policies = cli.list("--policy"),
+            "--load-sweep" => load_sweep = cli.parsed_list("--load-sweep"),
+            "--min-tail-gain" => min_tail_gain = cli.parsed("--min-tail-gain"),
+            flag if flag.starts_with("--") => cli.fail(format!("unknown flag `{flag}`")),
             path => out_path = path.to_owned(),
         }
     }
-    assert!(!tenant_args.is_empty(), "--tenants list must not be empty");
+    if tenant_args.is_empty() {
+        cli.fail("--tenants list must not be empty");
+    }
 
     let bandwidths: Vec<BandwidthClass> = bandwidths
         .iter()
         .map(|label| {
             BandwidthClass::by_label(label)
-                .unwrap_or_else(|| panic!("unknown bandwidth class `{label}`"))
+                .unwrap_or_else(|| cli.fail(format!("unknown bandwidth class `{label}`")))
         })
         .collect();
     let arrival_process = ArrivalProcess::parse(&arrivals_arg)
-        .unwrap_or_else(|e| panic!("--arrivals: {e}"));
+        .unwrap_or_else(|e| cli.fail(format!("--arrivals: {e}")));
     let policies: Vec<RoundPolicy> = policies
         .iter()
-        .map(|p| RoundPolicy::parse(p).unwrap_or_else(|e| panic!("--policy: {e}")))
+        .map(|p| RoundPolicy::parse(p).unwrap_or_else(|e| cli.fail(format!("--policy: {e}"))))
         .collect();
 
     let mut records = Vec::new();
@@ -254,7 +239,7 @@ fn main() {
     for bw in &bandwidths {
         for topo_spec in &topologies {
         let system = SystemSpec::standard_with_topology(*bw, Some(topo_spec))
-            .unwrap_or_else(|e| panic!("--topology `{topo_spec}`: {e}"));
+            .unwrap_or_else(|e| cli.fail(format!("--topology `{topo_spec}`: {e}")));
         for &budget_frac in &budget_fracs {
             // A nonzero per-move repair cost only matters to the
             // fault-window serves (admission and the no-fault drains
@@ -274,25 +259,21 @@ fn main() {
                 let parts: Vec<&str> = entry.split(':').collect();
                 let name = parts[0];
                 let model = h2h_model::zoo::by_name(name).unwrap_or_else(|| {
-                    panic!(
+                    cli.fail(format!(
                         "--tenants entry `{name}` matches no zoo model (have: {})",
                         h2h_model::zoo::all_models()
                             .iter()
                             .map(|m| m.name().to_owned())
                             .collect::<Vec<_>>()
                             .join(", ")
-                    )
+                    ))
                 });
-                let requests: usize = parts
-                    .get(1)
-                    .map(|r| r.parse().expect("tenant requests must be an integer"))
-                    .unwrap_or(24);
-                let explicit_rate: Option<f64> = parts
-                    .get(2)
-                    .map(|r| r.parse().expect("tenant rate must be a float (Hz)"));
-                let explicit_slo: Option<f64> = parts.get(3).map(|s| {
-                    s.parse::<f64>().expect("tenant SLO must be a float (ms)") / 1e3
-                });
+                let requests: usize =
+                    parts.get(1).map_or(24, |r| cli.parse("--tenants request count", r));
+                let explicit_rate: Option<f64> =
+                    parts.get(2).map(|r| cli.parse("--tenants rate (Hz)", r));
+                let explicit_slo: Option<f64> =
+                    parts.get(3).map(|r| cli.parse::<f64>("--tenants SLO (ms)", r) / 1e3);
                 // Admit first (one pipeline run), then scale the
                 // omitted contract terms to the tenant's own
                 // zero-queueing latency: a backlog-heavy 8/ideal
@@ -409,7 +390,7 @@ fn main() {
                     .expect("nic-degrade preset plan parses")
                 } else {
                     FaultPlan::parse(spec, n_accs)
-                        .unwrap_or_else(|e| panic!("--faults `{spec}`: {e}"))
+                        .unwrap_or_else(|e| cli.fail(format!("--faults `{spec}`: {e}")))
                 };
                 let repaired =
                     reg.serve_with_faults(&plan).unwrap_or_else(|e| panic!("fault serve: {e}"));
@@ -565,8 +546,9 @@ fn main() {
             let mut ids = Vec::new();
             for entry in &tenant_args {
                 let name = entry.split(':').next().expect("tenant entry is non-empty");
-                let model = h2h_model::zoo::by_name(name)
-                    .unwrap_or_else(|| panic!("--tenants entry `{name}` matches no zoo model"));
+                let model = h2h_model::zoo::by_name(name).unwrap_or_else(|| {
+                    cli.fail(format!("--tenants entry `{name}` matches no zoo model"))
+                });
                 let id = reg
                     .admit(TenantSpec::new(name, model, 1.0, Seconds::new(1.0), SWEEP_REQUESTS))
                     .unwrap_or_else(|e| panic!("sweep admission failed: {e}"));

@@ -24,6 +24,7 @@
 #![warn(missing_debug_implementations)]
 
 pub mod ablation;
+pub mod cli;
 pub mod experiments;
 pub mod tables;
 

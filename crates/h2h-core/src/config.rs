@@ -84,12 +84,12 @@ impl MapObjective {
 /// How the search loops (step-4 remapping, simulated annealing) score a
 /// candidate layer move.
 ///
-/// Every strategy produces **bit-identical search decisions** — they
+/// Both strategies produce **bit-identical search decisions** — they
 /// differ only in how much work a candidate costs. The delta engine's
 /// staged rebuild, its prefix-exact fast path and a plain full
 /// evaluation all reproduce the same score for the same candidate (the
-/// equivalence suites assert this over the whole zoo), so strategies
-/// can be mixed freely per candidate.
+/// equivalence suites assert this over the whole zoo), so `Adaptive`
+/// picks the cheapest exact path per candidate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum ScoreStrategy {
     /// Per-candidate adaptive (default): take the prefix-exact fast
@@ -100,9 +100,6 @@ pub enum ScoreStrategy {
     /// overhead exceeds a full evaluation) and to the delta replay for
     /// larger models.
     Adaptive,
-    /// Always the staged delta rebuild with the global fusion-pass
-    /// replay (the pre-adaptive behavior; kept for benchmarking).
-    Replay,
     /// Always a plain full locality rebuild + schedule evaluation per
     /// candidate (the reference behavior; kept for benchmarking).
     FullEval,
@@ -113,7 +110,6 @@ impl ScoreStrategy {
     pub fn label(&self) -> &'static str {
         match self {
             ScoreStrategy::Adaptive => "adaptive",
-            ScoreStrategy::Replay => "replay",
             ScoreStrategy::FullEval => "full-eval",
         }
     }
@@ -196,7 +192,7 @@ pub struct H2hConfig {
     pub accept_epsilon: f64,
     /// What step 4 minimizes (the paper: latency).
     pub objective: MapObjective,
-    /// How candidate moves are scored (see [`ScoreStrategy`]). All
+    /// How candidate moves are scored (see [`ScoreStrategy`]). Both
     /// strategies make bit-identical search decisions.
     pub strategy: ScoreStrategy,
     /// Models with at most this many layers prefer a plain full
@@ -215,28 +211,11 @@ pub struct H2hConfig {
     /// equivalence suites). Disabled only for benchmarking the pruning
     /// itself.
     pub enable_guard_dominance: bool,
-    /// Worker threads for candidate scoring in the search loops
-    /// (`1` = serial). Results, final mappings and search stats are
-    /// identical for every thread count: candidates are scored on
-    /// per-thread engine forks and committed in deterministic candidate
-    /// order, never in thread completion order. Effective parallelism
-    /// is capped at `std::thread::available_parallelism()` unless
-    /// [`H2hConfig::score_oversubscribe`] is set.
+    /// Inert: the step-4 search is single-threaded and nothing in the
+    /// mapper reads this field. It stays (default `1`) only because
+    /// the benchmark harness prints it in its header; it goes away
+    /// once the benchmark stops reading it.
     pub score_threads: usize,
-    /// Honor [`H2hConfig::score_threads`] beyond the machine's
-    /// available parallelism (oversubscription only adds scheduling
-    /// overhead, never changes results — the equivalence tests set this
-    /// to exercise the worker protocol on any machine).
-    pub score_oversubscribe: bool,
-    /// Minimum flattened candidate count before the pooled remap loop
-    /// scores a *multi-layer* frontier window in one work-stolen batch
-    /// (see [`crate::parallel`]); below it, each layer's candidates are
-    /// batched separately (the PR 2 protocol). Decisions and stats are
-    /// bit-identical either way — the threshold only trades wasted
-    /// speculative scoring against fan-out latency, so small models and
-    /// low lane counts stay on the cheaper per-layer path. `0` forces
-    /// frontier windows everywhere; `usize::MAX` disables them.
-    pub frontier_min_candidates: usize,
     /// Collect a per-phase wall-clock breakdown (candidate scoring vs
     /// schedule propagation vs guard resolution vs commit) on the delta
     /// engine ([`crate::delta::PhaseProfile`]). Off by default: the
@@ -331,8 +310,6 @@ impl Default for H2hConfig {
             small_model_threshold: 80,
             enable_guard_dominance: true,
             score_threads: 1,
-            score_oversubscribe: false,
-            frontier_min_candidates: 16,
             profile_phases: false,
             serve_max_batch: 8,
             serve_dram_budget_frac: 1.0,
@@ -373,10 +350,6 @@ mod tests {
             "the urgency knapsack is the bit-identity default"
         );
         assert_eq!(c.serve_queue_cap, 0, "unbounded queues are the default");
-        assert!(
-            c.frontier_min_candidates >= 1,
-            "frontier windows should not engage on single-candidate batches by default"
-        );
         assert!(!c.profile_phases, "phase timers are a bench/CI knob");
     }
 

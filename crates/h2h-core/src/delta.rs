@@ -25,8 +25,10 @@
 //! comparison, so in general the staged rebuild must replay the fusion
 //! pass over **all** accelerators in its exact global order (with the
 //! guard answered by the incremental schedule, which is bitwise-equal
-//! to the full evaluation it replaces). How a candidate is scored, by
-//! [`ScoreStrategy`] and candidate shape:
+//! to the full evaluation it replaces). How the default
+//! [`ScoreStrategy::Adaptive`] scores a candidate, by its shape (the
+//! reference [`ScoreStrategy::FullEval`] takes the plain full
+//! evaluation for every candidate):
 //!
 //! | Candidate shape | Path | Per-guard cost |
 //! |---|---|---|
@@ -72,24 +74,10 @@
 //! full-eval-fallback candidates, and final mappings/latencies are
 //! identical to the historical per-candidate full-re-evaluation
 //! implementations (asserted by equivalence tests over the whole zoo,
-//! over every strategy, over scoring thread counts 1–8 and with
-//! dominance pruning on or off).
-//!
-//! # Parallel scoring
-//!
-//! [`DeltaEngine::fork`] produces a cheap clone for a scoring worker:
-//! the read-only model/system data (sorted fusable edges, multi-consumer
-//! producer lists, topological priority inside [`IncrementalSchedule`],
-//! DRAM capacity tables inside [`LocalityState`]) is shared behind
-//! `Arc`s, and only the mutable scratch is copied. The commit protocol
-//! lives in [`crate::parallel`]: workers score disjoint candidate
-//! subsets transactionally (stage → record → reject) and the main
-//! engine commits the winning move in deterministic candidate order.
+//! over both strategies and with dominance pruning on or off).
 //!
 //! [`SearchStats`] counts delta vs full evaluations so the speedup is
 //! observable (`h2h-bench` emits it as `BENCH_search.json`).
-
-use std::sync::Arc;
 
 use serde::Serialize;
 
@@ -205,11 +193,8 @@ fn note_propagation(stats: &mut SearchStats, touched: usize) {
 /// Wall-clock breakdown of one engine's search time by phase, filled
 /// only when [`H2hConfig::profile_phases`] is on (`bench_search
 /// --profile`). Deliberately **not** part of [`SearchStats`]: the stat
-/// counters are asserted bitwise-equal across thread counts and
-/// strategies, while wall-clock numbers are machine- and run-specific.
-/// When candidates are scored on worker lanes the per-lane deltas are
-/// absorbed into the main engine's profile, so the totals approximate
-/// *CPU seconds across all lanes*, not elapsed wall time.
+/// counters are asserted bitwise-equal across strategies, while
+/// wall-clock numbers are machine- and run-specific.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Serialize)]
 pub struct PhaseProfile {
     /// Candidate scoring outside the other buckets: locality
@@ -230,25 +215,6 @@ impl PhaseProfile {
     /// Sum of all buckets.
     pub fn total(&self) -> f64 {
         self.scoring_s + self.propagate_s + self.guard_s + self.commit_s
-    }
-
-    /// Accumulates another profile (e.g. a worker lane's delta).
-    pub fn absorb(&mut self, other: &PhaseProfile) {
-        self.scoring_s += other.scoring_s;
-        self.propagate_s += other.propagate_s;
-        self.guard_s += other.guard_s;
-        self.commit_s += other.commit_s;
-    }
-
-    /// Bucket-wise difference `self - before` (for snapshotting one
-    /// candidate's share out of a running accumulator).
-    pub fn delta_since(&self, before: &PhaseProfile) -> PhaseProfile {
-        PhaseProfile {
-            scoring_s: self.scoring_s - before.scoring_s,
-            propagate_s: self.propagate_s - before.propagate_s,
-            guard_s: self.guard_s - before.guard_s,
-            commit_s: self.commit_s - before.commit_s,
-        }
     }
 }
 
@@ -514,21 +480,6 @@ impl DeltaOracle<'_, '_, '_> {
     }
 }
 
-/// Read-only per-(model, system) data shared by an engine and all its
-/// scoring-worker forks.
-#[derive(Debug)]
-struct EngineShared {
-    /// All non-input-producer edges pre-sorted by the fusion pass's
-    /// global order (bytes desc, then endpoint indices) — the
-    /// mapping-independent part of the candidate list, computed once.
-    sorted_edges: Vec<(LayerId, LayerId, Bytes)>,
-    /// Non-input producers with ≥ 2 consumers (and those consumers):
-    /// the only places a "risky" fusion candidate can arise. The
-    /// prefix-exact fast path applies exactly when no such producer is
-    /// co-located with any of its consumers in the candidate mapping.
-    multi_out: Vec<(LayerId, Vec<LayerId>)>,
-}
-
 /// The staged candidate: which layer moved, where it came from, and
 /// whether it was scored through the delta schedule (transactional) or
 /// a plain full evaluation.
@@ -546,11 +497,7 @@ struct StagedMove {
 /// resummed so every objective scores bitwise like a full evaluation).
 /// Candidates are staged transactionally on top and either rolled back
 /// or committed as the new current state.
-///
-/// `Clone` copies the mutable scratch and shares the read-only data;
-/// use [`DeltaEngine::fork`] for scoring workers (it also zeroes the
-/// stats, which workers report per candidate instead).
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct DeltaEngine<'e, 'm> {
     ev: &'e Evaluator<'m>,
     cfg: &'e H2hConfig,
@@ -566,7 +513,15 @@ pub struct DeltaEngine<'e, 'm> {
     /// Resolved adaptive fallback: small models score risky candidates
     /// by full evaluation, large ones by the global replay.
     prefer_full: bool,
-    shared: Arc<EngineShared>,
+    /// All non-input-producer edges pre-sorted by the fusion pass's
+    /// global order (bytes desc, then endpoint indices) — the
+    /// mapping-independent part of the candidate list, computed once.
+    sorted_edges: Vec<(LayerId, LayerId, Bytes)>,
+    /// Non-input producers with ≥ 2 consumers (and those consumers):
+    /// the only places a "risky" fusion candidate can arise. The
+    /// prefix-exact fast path applies exactly when no such producer is
+    /// co-located with any of its consumers in the candidate mapping.
+    multi_out: Vec<(LayerId, Vec<LayerId>)>,
     // Reusable scratch for the staging hot path, kept across candidates
     // so steady-state scoring allocates nothing.
     spare_locality: Option<LocalityState>,
@@ -623,10 +578,8 @@ impl<'e, 'm> DeltaEngine<'e, 'm> {
             staged_schedule: None,
             staged_makespan: 0.0,
             prefer_full: model.num_layers() <= cfg.small_model_threshold,
-            shared: Arc::new(EngineShared {
-                sorted_edges: sorted_fusable_edges(model),
-                multi_out,
-            }),
+            sorted_edges: sorted_fusable_edges(model),
+            multi_out,
             spare_locality: None,
             scratch_costs: Vec::new(),
             scratch_seeds: Vec::new(),
@@ -637,26 +590,6 @@ impl<'e, 'm> DeltaEngine<'e, 'm> {
             profile_enabled: cfg.profile_phases,
             profile: PhaseProfile::default(),
         }
-    }
-
-    /// Cheap clone for a scoring worker thread: shares the read-only
-    /// `Arc`s, copies the mutable scratch, zeroes the stats (workers
-    /// report per-candidate stat deltas back to the main engine).
-    ///
-    /// # Panics
-    ///
-    /// Panics if a candidate is staged.
-    pub fn fork(&self) -> Self {
-        assert!(self.staged.is_none(), "fork with a staged candidate");
-        let mut fork = self.clone();
-        fork.stats = SearchStats::default();
-        fork.profile = PhaseProfile::default();
-        fork
-    }
-
-    /// The configuration this engine scores under.
-    pub(crate) fn config(&self) -> &H2hConfig {
-        self.cfg
     }
 
     /// Objective score of the current (exact) state.
@@ -705,7 +638,7 @@ impl<'e, 'm> DeltaEngine<'e, 'm> {
         to: AccId,
     ) -> bool {
         let mapped = |l: LayerId| if l == layer { Some(to) } else { mapping.get(l) };
-        self.shared.multi_out.iter().any(|(f, succs)| {
+        self.multi_out.iter().any(|(f, succs)| {
             let fa = mapped(*f);
             fa.is_some() && succs.iter().any(|s| mapped(*s) == fa)
         })
@@ -742,7 +675,6 @@ impl<'e, 'm> DeltaEngine<'e, 'm> {
         assert_ne!(from, to, "staging a no-op move");
         match self.cfg.strategy {
             ScoreStrategy::FullEval => self.stage_full(mapping, layer, from, to),
-            ScoreStrategy::Replay => self.stage_delta(mapping, layer, from, to, false),
             ScoreStrategy::Adaptive => {
                 if !self.candidate_has_risky_fusion(mapping, layer, to) {
                     self.stage_delta(mapping, layer, from, to, true)
@@ -902,7 +834,6 @@ impl<'e, 'm> DeltaEngine<'e, 'm> {
         pending_costs
             .extend(loc.pinned_layers().filter(|l| mapping.get(*l).is_some_and(in_scope)));
 
-        let shared = self.shared.clone();
         if self.cfg.enable_activation_fusion && prefix {
             // Prefix-exact step 3: only the touched accelerators'
             // candidates are re-fused, in the canonical global order
@@ -912,7 +843,7 @@ impl<'e, 'm> DeltaEngine<'e, 'm> {
             // no-risky-candidate precondition makes every candidate's
             // accept rule unconditional-if-it-fits.
             let system = self.ev.system();
-            for &(f, t, bytes) in &shared.sorted_edges {
+            for &(f, t, bytes) in &self.sorted_edges {
                 let fa = mapping.get(f);
                 if fa.is_none() || fa != mapping.get(t) {
                     continue;
@@ -935,7 +866,7 @@ impl<'e, 'm> DeltaEngine<'e, 'm> {
             // (bitwise-equal to the full evaluation it replaces).
             let mut candidates = std::mem::take(&mut self.scratch_cands);
             candidates.clear();
-            candidates.extend(shared.sorted_edges.iter().copied().filter(|(f, t, _)| {
+            candidates.extend(self.sorted_edges.iter().copied().filter(|(f, t, _)| {
                 mapping.get(*f).is_some() && mapping.get(*f) == mapping.get(*t)
             }));
             let mut oracle = DeltaOracle {

@@ -21,24 +21,10 @@
 //! (kept below as [`data_locality_remapping_reference`] and asserted
 //! equivalent by tests on every zoo model).
 //!
-//! With `score_threads > 1` candidate scoring fans out across a scoped
-//! [`ScoringPool`] (one [`DeltaEngine::fork`] per worker) over the
-//! **whole move frontier**: instead of batching one layer's 1–3
-//! candidates at a time, the pooled walk flattens the candidate groups
-//! of many upcoming layers into one work-stolen batch, scoring
-//! speculatively past layers whose decision has not been made yet. The
-//! decision rule stays serial — groups are resolved in visit order,
-//! each taking its **first improving candidate in serial order**, and
-//! everything scored beyond an accepted move is discarded (it was
-//! scored against a stale state) and regenerated. The window starts at
-//! the lane count (an accept costs the same wall-clock as the
-//! per-layer batch it replaces) and doubles across fully-rejected
-//! windows, so long rejection stretches — where greedy search spends
-//! most of its time near convergence — keep every lane busy. Final
-//! mappings, latencies *and search stats* are identical for every
-//! thread count and window size (see `crate::parallel` for the commit
-//! protocol); `cfg.frontier_min_candidates` gates the wide path, with
-//! small windows falling back to the classic per-group step.
+//! The walk is serial by design: every accepted move changes the state
+//! the next candidate is scored against, so each layer's candidates are
+//! scored in visit order against the current state and the first
+//! improving one is committed before the walk moves on.
 
 use h2h_system::locality::LocalityState;
 use h2h_system::mapping::Mapping;
@@ -50,7 +36,6 @@ use h2h_model::graph::LayerId;
 use crate::activation_fusion::rebuild_locality;
 use crate::config::H2hConfig;
 use crate::delta::{DeltaEngine, PhaseProfile, SearchStats};
-use crate::parallel::{commit_move, try_first_improving, CandidateOutcome, ScoringPool};
 use crate::preset::PinPreset;
 
 /// Outcome of the remapping loop.
@@ -64,8 +49,8 @@ pub struct RemapOutcome {
     /// instrumentation.
     pub stats: SearchStats,
     /// Per-phase wall-clock breakdown, zeroed unless
-    /// [`H2hConfig::profile_phases`] is on (≈ CPU-seconds across
-    /// scoring lanes; never part of the cross-run equality contract).
+    /// [`H2hConfig::profile_phases`] is on (never part of the
+    /// cross-run equality contract).
     pub profile: PhaseProfile,
 }
 
@@ -87,9 +72,7 @@ impl RemapOutcome {
 }
 
 /// Runs the greedy remapping loop on the incremental delta engine,
-/// mutating `mapping` in place. With `cfg.score_threads > 1` the
-/// candidate scoring fans out across a scoped worker pool; results are
-/// identical for every thread count.
+/// mutating `mapping` in place.
 pub fn data_locality_remapping(
     ev: &Evaluator<'_>,
     cfg: &H2hConfig,
@@ -97,15 +80,7 @@ pub fn data_locality_remapping(
     mapping: &mut Mapping,
 ) -> RemapOutcome {
     let mut engine = DeltaEngine::new(ev, cfg, preset, mapping);
-    let workers = crate::parallel::effective_workers(cfg);
-    let passes = if workers == 0 {
-        remap_loop_serial(ev, cfg, &mut engine, mapping)
-    } else {
-        rayon::scope(|scope| {
-            let mut pool = ScoringPool::spawn(scope, &engine, mapping, workers);
-            remap_loop_frontier(ev, cfg, &mut engine, mapping, &mut pool)
-        })
-    };
+    let passes = remap_loop(ev, cfg, &mut engine, mapping);
 
     let profile = engine.profile;
     let (locality, schedule, mut stats) = engine.finalize(mapping);
@@ -117,8 +92,7 @@ pub fn data_locality_remapping(
 /// neighbour, in deterministic ascending-id order (sorted + deduped —
 /// same order a `BTreeSet` would yield, without allocating per visit),
 /// restricted to accelerators that support the layer. Appends
-/// `(layer, acc)` pairs to `out` (callers building a frontier window
-/// concatenate several layers' groups into one flat batch).
+/// `(layer, acc)` pairs to `out`.
 fn layer_candidates(
     model: &h2h_model::ModelGraph,
     system: &h2h_system::SystemSpec,
@@ -146,9 +120,9 @@ fn layer_candidates(
     );
 }
 
-/// The serial pass loop: visit layers in topological order, gather each
+/// The pass loop: visit layers in topological order, gather each
 /// layer's candidates, take the first improving move.
-fn remap_loop_serial(
+fn remap_loop(
     ev: &Evaluator<'_>,
     cfg: &H2hConfig,
     engine: &mut DeltaEngine<'_, '_>,
@@ -160,142 +134,16 @@ fn remap_loop_serial(
     let mut passes = 0;
     let mut neighbours: Vec<AccId> = Vec::new();
     let mut cands: Vec<(LayerId, AccId)> = Vec::new();
-    let mut outcomes: Vec<CandidateOutcome> = Vec::new();
     while passes < cfg.remap_max_passes {
         passes += 1;
         let mut improved = false;
         for &layer in &order {
             cands.clear();
             layer_candidates(model, system, mapping, layer, &mut neighbours, &mut cands);
-            if cands.is_empty() {
-                continue;
-            }
             // Greedy: take the first improving move, go to the next
             // layer.
-            if try_first_improving(engine, mapping, &cands, None, &mut outcomes) {
+            if cands.iter().any(|&(layer, to)| engine.try_improving_move(mapping, layer, to)) {
                 improved = true;
-            }
-        }
-        if !improved {
-            break;
-        }
-    }
-    passes
-}
-
-/// The pooled pass loop: identical decisions to
-/// [`remap_loop_serial`], but candidates are scored in
-/// **frontier-wide work-stolen batches** spanning many upcoming
-/// layers' candidate groups (see the module docs).
-///
-/// Within one window no state changes — the serial walk's `best` score
-/// is constant across rejected groups — so all of the window's
-/// candidates are scored against exactly the state the serial walk
-/// would have scored them against. Groups then resolve strictly in
-/// serial order: each absorbs the stat deltas of its serially-visited
-/// prefix (everything before the first improving candidate, or the
-/// whole group), and the first group with a winner commits it and
-/// invalidates the rest of the window (those speculative outcomes are
-/// discarded, their stats *not* absorbed — the serial walk never
-/// scored them against this state). Hence mappings, latencies and
-/// stats are bitwise independent of lane count and window size.
-///
-/// The window starts at the lane count and doubles each time an entire
-/// window is rejected (resetting on accept), which bounds wasted
-/// speculation near an accept to one window while giving rejection
-/// stretches batch sizes big enough to keep every lane busy. Windows
-/// smaller than `cfg.frontier_min_candidates` fall back to the classic
-/// per-group protocol — with `frontier_min_candidates = usize::MAX`
-/// this *is* the classic per-layer pooled walk.
-fn remap_loop_frontier(
-    ev: &Evaluator<'_>,
-    cfg: &H2hConfig,
-    engine: &mut DeltaEngine<'_, '_>,
-    mapping: &mut Mapping,
-    pool: &mut ScoringPool,
-) -> usize {
-    let model = ev.model();
-    let system = ev.system();
-    let order = model.topo_order();
-    let base = pool.lanes().max(1);
-    let mut passes = 0;
-    let mut neighbours: Vec<AccId> = Vec::new();
-    let mut flat: Vec<(LayerId, AccId)> = Vec::new();
-    // One entry per layer with candidates in the current window:
-    // (position in `order`, start..end range in `flat`).
-    let mut groups: Vec<(usize, usize, usize)> = Vec::new();
-    let mut outcomes: Vec<CandidateOutcome> = Vec::new();
-    while passes < cfg.remap_max_passes {
-        passes += 1;
-        let mut improved = false;
-        let mut pos = 0;
-        let mut window = base;
-        while pos < order.len() {
-            // Assemble the window: whole candidate groups until the
-            // target size is reached (the last group may overshoot) or
-            // the pass runs out of layers.
-            flat.clear();
-            groups.clear();
-            let mut j = pos;
-            while j < order.len() && flat.len() < window {
-                let start = flat.len();
-                layer_candidates(model, system, mapping, order[j], &mut neighbours, &mut flat);
-                if flat.len() > start {
-                    groups.push((j, start, flat.len()));
-                }
-                j += 1;
-            }
-            if flat.is_empty() {
-                pos = j;
-                continue;
-            }
-            let accepted_at = if flat.len() < cfg.frontier_min_candidates {
-                // Narrow window: classic per-group first-improving
-                // steps (still pooled within each group).
-                groups.iter().find_map(|&(gpos, start, end)| {
-                    try_first_improving(
-                        engine,
-                        mapping,
-                        &flat[start..end],
-                        Some(&mut *pool),
-                        &mut outcomes,
-                    )
-                    .then_some(gpos)
-                })
-            } else {
-                // Wide path: score the whole frontier as one
-                // work-stolen batch, then decide group by group.
-                let best = engine.score();
-                pool.score_batch(engine, mapping, &flat, &mut outcomes);
-                groups.iter().find_map(|&(gpos, start, end)| {
-                    let outs = &outcomes[start..end];
-                    let winner =
-                        outs.iter().position(|o| o.score + cfg.accept_epsilon < best);
-                    let attempted = winner.map_or(outs.len(), |w| w + 1);
-                    for outcome in &outs[..attempted] {
-                        engine.stats.absorb(&outcome.stats);
-                    }
-                    winner.map(|w| {
-                        let (layer, to) = flat[start + w];
-                        pool.broadcast_commit(layer, to);
-                        commit_move(engine, mapping, layer, to);
-                        gpos
-                    })
-                })
-            };
-            match accepted_at {
-                Some(gpos) => {
-                    // Everything scored past the accepted group is
-                    // stale speculation: drop it and regenerate from
-                    // the next layer against the committed state.
-                    improved = true;
-                    pos = gpos + 1;
-                    window = base;
-                }
-                None => {
-                    pos = j;
-                    window = window.saturating_mul(2);
-                }
             }
         }
         if !improved {

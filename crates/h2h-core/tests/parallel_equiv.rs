@@ -1,12 +1,9 @@
-//! Equivalence properties of the parallel / adaptive search core: for
-//! every zoo model, the step-4 remapping loop must produce identical
-//! final mappings, latencies *and search statistics* for every scoring
-//! thread count and every scoring strategy, all equal to the
-//! per-candidate full-re-evaluation reference.
-//!
-//! Thread counts are exercised with `score_oversubscribe` so the worker
-//! protocol really runs (and really forks engines) even on a
-//! single-core CI machine.
+//! Equivalence properties of the step-4 search core: for every zoo
+//! model, the remapping loop must produce the same final mapping and
+//! latency under both scoring strategies, on uniform and non-uniform
+//! fabrics, with guard-dominance pruning on or off, all equal to the
+//! per-candidate full-re-evaluation reference. The guard, prefix-path
+//! and propagation counters must stay coherent along the way.
 
 use h2h_core::compute_map::computation_prioritized;
 use h2h_core::remap::{data_locality_remapping, data_locality_remapping_reference};
@@ -16,132 +13,9 @@ use h2h_system::system::{BandwidthClass, SystemSpec};
 use h2h_system::topology::Topology;
 
 #[test]
-fn remap_is_thread_count_invariant_and_matches_the_reference() {
-    let system = SystemSpec::standard(BandwidthClass::LowMinus);
-    for model in h2h_model::zoo::all_models() {
-        let ev = Evaluator::new(&model, &system);
-        let cfg0 = H2hConfig::default();
-        let (seed, _) = computation_prioritized(&ev, &cfg0, &PinPreset::new()).unwrap();
-
-        let mut map_ref = seed.clone();
-        let reference =
-            data_locality_remapping_reference(&ev, &cfg0, &PinPreset::new(), &mut map_ref);
-
-        let mut serial = None;
-        for threads in [1usize, 2, 4, 8] {
-            let cfg = H2hConfig {
-                score_threads: threads,
-                score_oversubscribe: true,
-                ..H2hConfig::default()
-            };
-            let mut mapping = seed.clone();
-            let out = data_locality_remapping(&ev, &cfg, &PinPreset::new(), &mut mapping);
-            assert_eq!(
-                mapping,
-                map_ref,
-                "{} at {threads} threads: diverged from the reference mapping",
-                model.name()
-            );
-            let mk = out.schedule.makespan().as_f64();
-            let mk_ref = reference.schedule.makespan().as_f64();
-            assert!(
-                (mk - mk_ref).abs() <= mk_ref * 1e-12,
-                "{} at {threads} threads: latency {mk} vs reference {mk_ref}",
-                model.name()
-            );
-            match &serial {
-                None => serial = Some((mapping, mk, out.stats)),
-                Some((serial_map, serial_mk, serial_stats)) => {
-                    assert_eq!(&mapping, serial_map, "{}: mapping", model.name());
-                    assert_eq!(mk, *serial_mk, "{}: makespan must be bitwise equal", model.name());
-                    assert_eq!(
-                        &out.stats,
-                        serial_stats,
-                        "{} at {threads} threads: stats diverged from serial",
-                        model.name()
-                    );
-                }
-            }
-        }
-    }
-}
-
-#[test]
-fn frontier_windows_change_no_search_decision() {
-    // The frontier-wide work-stealing walk speculatively scores
-    // candidates for layers whose turn has not come yet; window size
-    // and the wide-vs-fallback gate may only affect wall-clock, never
-    // decisions. `frontier_min_candidates: 0` forces every pooled
-    // window down the wide path, `usize::MAX` forces the classic
-    // per-group fallback; both must reproduce the serial walk's
-    // mapping, latency *and stats* bit-exactly at every thread count,
-    // and match the full-re-evaluation reference.
-    let system = SystemSpec::standard(BandwidthClass::LowMinus);
-    for model in [
-        h2h_model::zoo::mocap(),
-        h2h_model::zoo::cnn_lstm(),
-        h2h_model::zoo::casia_surf(),
-        h2h_model::zoo::facebag(),
-    ] {
-        let ev = Evaluator::new(&model, &system);
-        let cfg0 = H2hConfig::default();
-        let (seed, _) = computation_prioritized(&ev, &cfg0, &PinPreset::new()).unwrap();
-        let mut map_ref = seed.clone();
-        let reference =
-            data_locality_remapping_reference(&ev, &cfg0, &PinPreset::new(), &mut map_ref);
-
-        let serial = {
-            let cfg = H2hConfig { score_threads: 1, ..H2hConfig::default() };
-            let mut mapping = seed.clone();
-            let out = data_locality_remapping(&ev, &cfg, &PinPreset::new(), &mut mapping);
-            (mapping, out)
-        };
-        assert_eq!(serial.0, map_ref, "{}: serial walk vs reference", model.name());
-        let mk_ref = reference.schedule.makespan().as_f64();
-        let mk_serial = serial.1.schedule.makespan().as_f64();
-        assert!(
-            (mk_serial - mk_ref).abs() <= mk_ref * 1e-12,
-            "{}: serial latency {mk_serial} vs reference {mk_ref}",
-            model.name()
-        );
-
-        for frontier_min in [0usize, usize::MAX] {
-            for threads in [2usize, 4, 8] {
-                let cfg = H2hConfig {
-                    score_threads: threads,
-                    score_oversubscribe: true,
-                    frontier_min_candidates: frontier_min,
-                    ..H2hConfig::default()
-                };
-                let mut mapping = seed.clone();
-                let out = data_locality_remapping(&ev, &cfg, &PinPreset::new(), &mut mapping);
-                let tag = format!(
-                    "{} x{threads} frontier_min={frontier_min}",
-                    model.name()
-                );
-                assert_eq!(mapping, serial.0, "{tag}: mapping diverged from serial");
-                assert_eq!(
-                    out.schedule.makespan(),
-                    serial.1.schedule.makespan(),
-                    "{tag}: makespan must be bitwise equal to serial"
-                );
-                assert_eq!(out.stats, serial.1.stats, "{tag}: stats diverged from serial");
-                assert!(
-                    out.stats.guards_skipped <= out.stats.guards_total
-                        && out.stats.guard_reverts_fast
-                            <= out.stats.guards_total - out.stats.guards_skipped,
-                    "{tag}: guard counters incoherent ({:?})",
-                    out.stats
-                );
-            }
-        }
-    }
-}
-
-#[test]
 fn every_scoring_strategy_makes_identical_search_decisions() {
-    // Zoo-wide sweep guard: every zoo model × every (strategy × thread
-    // count) combination must reproduce the per-candidate
+    // Zoo-wide sweep guard: every zoo model under every strategy must
+    // reproduce the per-candidate
     // full-re-evaluation reference mapping bit-exactly — this is the
     // acceptance contract of the dominance-pruned guard replay: pruning
     // may only skip work whose outcome it proved. Each swept
@@ -157,70 +31,56 @@ fn every_scoring_strategy_makes_identical_search_decisions() {
         let reference =
             data_locality_remapping_reference(&ev, &cfg0, &PinPreset::new(), &mut map_ref);
         let mut outcomes = Vec::new();
-        for strategy in [ScoreStrategy::Adaptive, ScoreStrategy::Replay, ScoreStrategy::FullEval]
-        {
-            for threads in [1usize, 4] {
-                let cfg = H2hConfig {
-                    strategy,
-                    score_threads: threads,
-                    score_oversubscribe: true,
-                    ..H2hConfig::default()
-                };
-                let mut mapping = seed.clone();
-                let out = data_locality_remapping(&ev, &cfg, &PinPreset::new(), &mut mapping);
-                assert_eq!(
-                    mapping,
-                    map_ref,
-                    "{} under {strategy:?} x{threads}: diverged from the reference mapping",
-                    model.name()
-                );
-                let mk = out.schedule.makespan().as_f64();
-                let mk_ref = reference.schedule.makespan().as_f64();
-                assert!(
-                    (mk - mk_ref).abs() <= mk_ref * 1e-12,
-                    "{} under {strategy:?} x{threads}: latency {mk} vs reference {mk_ref}",
-                    model.name()
-                );
-                assert!(
-                    out.stats.guards_skipped <= out.stats.guards_total,
-                    "{} under {strategy:?} x{threads}: skipped {} > total {}",
-                    model.name(),
-                    out.stats.guards_skipped,
-                    out.stats.guards_total
-                );
-                assert!(
-                    out.stats.guard_reverts_fast
-                        <= out.stats.guards_total - out.stats.guards_skipped,
-                    "{} under {strategy:?} x{threads}: {} fast reverts exceed the {} unresolved guards",
-                    model.name(),
-                    out.stats.guard_reverts_fast,
-                    out.stats.guards_total - out.stats.guards_skipped
-                );
-                outcomes.push((strategy, threads, mapping, out));
-            }
-        }
-        let (_, _, first_map, first_out) = &outcomes[0];
-        for (strategy, threads, mapping, out) in &outcomes[1..] {
+        for strategy in [ScoreStrategy::Adaptive, ScoreStrategy::FullEval] {
+            let cfg = H2hConfig { strategy, ..H2hConfig::default() };
+            let mut mapping = seed.clone();
+            let out = data_locality_remapping(&ev, &cfg, &PinPreset::new(), &mut mapping);
             assert_eq!(
                 mapping,
-                first_map,
-                "{} under {strategy:?} x{threads}: mapping diverged",
+                map_ref,
+                "{} under {strategy:?}: diverged from the reference mapping",
                 model.name()
             );
+            let mk = out.schedule.makespan().as_f64();
+            let mk_ref = reference.schedule.makespan().as_f64();
+            assert!(
+                (mk - mk_ref).abs() <= mk_ref * 1e-12,
+                "{} under {strategy:?}: latency {mk} vs reference {mk_ref}",
+                model.name()
+            );
+            assert!(
+                out.stats.guards_skipped <= out.stats.guards_total,
+                "{} under {strategy:?}: skipped {} > total {}",
+                model.name(),
+                out.stats.guards_skipped,
+                out.stats.guards_total
+            );
+            assert!(
+                out.stats.guard_reverts_fast <= out.stats.guards_total - out.stats.guards_skipped,
+                "{} under {strategy:?}: {} fast reverts exceed the {} unresolved guards",
+                model.name(),
+                out.stats.guard_reverts_fast,
+                out.stats.guards_total - out.stats.guards_skipped
+            );
+            outcomes.push((strategy, mapping, out));
+        }
+        let (_, first_map, first_out) = &outcomes[0];
+        for (strategy, mapping, out) in &outcomes[1..] {
+            assert_eq!(mapping, first_map, "{} under {strategy:?}: mapping diverged", model.name());
             assert_eq!(
                 out.schedule.makespan(),
                 first_out.schedule.makespan(),
-                "{} under {strategy:?} x{threads}: latency diverged",
+                "{} under {strategy:?}: latency diverged",
                 model.name()
             );
             assert_eq!(
                 out.stats.attempted_moves, first_out.stats.attempted_moves,
-                "{} under {strategy:?} x{threads}: attempt counts diverged",
+                "{} under {strategy:?}: attempt counts diverged",
                 model.name()
             );
             assert_eq!(
                 out.stats.accepted_moves, first_out.stats.accepted_moves,
-                "{} under {strategy:?} x{threads}: accept counts diverged",
+                "{} under {strategy:?}: accept counts diverged",
                 model.name()
             );
         }
@@ -233,7 +93,7 @@ fn delta_search_matches_reference_on_non_uniform_topologies() {
     // its neighbours' placements; the delta engine compensates by
     // refreshing the moved layer's graph neighbours. This sweep is the
     // proof: on a skewed star and a partitioned switch, every strategy
-    // × thread count must still reproduce the per-candidate
+    // must still reproduce the per-candidate
     // full-re-evaluation reference bit-exactly, dominance on or off.
     let bw = BandwidthClass::LowMinus;
     for spec in ["skewed", "switched", "star:host=0.125;links=0.125,0.05,0.2"] {
@@ -251,36 +111,28 @@ fn delta_search_matches_reference_on_non_uniform_topologies() {
             let mut map_ref = seed.clone();
             let reference =
                 data_locality_remapping_reference(&ev, &cfg0, &PinPreset::new(), &mut map_ref);
-            for strategy in
-                [ScoreStrategy::Adaptive, ScoreStrategy::Replay, ScoreStrategy::FullEval]
-            {
-                for threads in [1usize, 4] {
-                    for dominance in [true, false] {
-                        let cfg = H2hConfig {
-                            strategy,
-                            score_threads: threads,
-                            score_oversubscribe: true,
-                            enable_guard_dominance: dominance,
-                            ..H2hConfig::default()
-                        };
-                        let mut mapping = seed.clone();
-                        let out =
-                            data_locality_remapping(&ev, &cfg, &PinPreset::new(), &mut mapping);
-                        assert_eq!(
-                            mapping,
-                            map_ref,
-                            "{} on `{spec}` under {strategy:?} x{threads} dom={dominance}: \
-                             diverged from the reference mapping",
-                            model.name()
-                        );
-                        assert_eq!(
-                            out.schedule.makespan(),
-                            reference.schedule.makespan(),
-                            "{} on `{spec}` under {strategy:?} x{threads} dom={dominance}: \
-                             latency diverged",
-                            model.name()
-                        );
-                    }
+            for strategy in [ScoreStrategy::Adaptive, ScoreStrategy::FullEval] {
+                for dominance in [true, false] {
+                    let cfg = H2hConfig {
+                        strategy,
+                        enable_guard_dominance: dominance,
+                        ..H2hConfig::default()
+                    };
+                    let mut mapping = seed.clone();
+                    let out = data_locality_remapping(&ev, &cfg, &PinPreset::new(), &mut mapping);
+                    assert_eq!(
+                        mapping,
+                        map_ref,
+                        "{} on `{spec}` under {strategy:?} dom={dominance}: \
+                         diverged from the reference mapping",
+                        model.name()
+                    );
+                    assert_eq!(
+                        out.schedule.makespan(),
+                        reference.schedule.makespan(),
+                        "{} on `{spec}` under {strategy:?} dom={dominance}: latency diverged",
+                        model.name()
+                    );
                 }
             }
         }

@@ -106,7 +106,9 @@ pub fn parse_model(text: &str) -> Result<ModelGraph, ParseError> {
             _ => (line, None),
         };
         let toks: Vec<&str> = line.split_whitespace().collect();
-        let op = toks[0];
+        let Some(&op) = toks.first() else {
+            return Err(ParseError::Syntax(ln, "modality tag without a layer".into()));
+        };
 
         if op == "model" {
             if toks.len() != 2 {
@@ -332,6 +334,19 @@ fc head cat 4
         match parse_model("model x\nfrobnicate f\n") {
             Err(ParseError::Syntax(2, msg)) => assert!(msg.contains("frobnicate")),
             other => panic!("expected syntax error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn tag_only_line_is_a_syntax_error() {
+        for text in ["@rgb\n", "model x\n  @-down  # note\n"] {
+            match parse_model(text) {
+                Err(ParseError::Syntax(line, msg)) => {
+                    assert_eq!(line, text.lines().count(), "{text:?}");
+                    assert!(msg.contains("modality tag"), "{msg}");
+                }
+                other => panic!("{text:?}: expected a syntax error, got {other:?}"),
+            }
         }
     }
 

@@ -126,9 +126,9 @@ pub struct Savepoint {
 
 /// Read-only per-(model, system) data shared by every clone of an
 /// [`IncrementalSchedule`]: the global topological priority and the
-/// energy-model constants. The parallel search core forks one schedule
-/// per scoring worker, so this is split behind an [`Arc`] to keep those
-/// clones to the mutable scratch only.
+/// energy-model constants. Serving snapshots clone schedules, so this
+/// is split behind an [`Arc`] to keep those clones to the mutable
+/// scratch only.
 #[derive(Debug)]
 struct IncShared {
     /// Rank of each layer in the global topological priority.
