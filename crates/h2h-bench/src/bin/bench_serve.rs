@@ -58,7 +58,10 @@
 //! SLO/budget ledger is incoherent, batched serving fails to beat
 //! the naive reference by `--min-speedup` on drain makespan, or a
 //! knapsack curve point fails the tail gate. `--help` prints the usage
-//! line and exits 0; an unknown flag or a malformed value exits 2.
+//! line and exits 0; an unknown flag, a malformed or out-of-range
+//! value (`--budget-frac` outside (0, 1], `--max-batch 0`, a
+//! non-positive `--load-sweep` entry), or a tenant contract that
+//! admission refuses exits 2.
 
 use serde::Serialize;
 
@@ -214,6 +217,15 @@ fn main() {
     if tenant_args.is_empty() {
         cli.fail("--tenants list must not be empty");
     }
+    if max_batch == 0 {
+        cli.fail("--max-batch must be at least 1");
+    }
+    if let Some(f) = budget_fracs.iter().find(|f| !(**f > 0.0 && **f <= 1.0)) {
+        cli.fail(format!("--budget-frac entries must be in (0, 1], got {f}"));
+    }
+    if let Some(l) = load_sweep.iter().find(|l| !(**l > 0.0 && l.is_finite())) {
+        cli.fail(format!("--load-sweep entries must be positive and finite, got {l}"));
+    }
 
     let bandwidths: Vec<BandwidthClass> = bandwidths
         .iter()
@@ -287,7 +299,7 @@ fn main() {
                         Seconds::new(explicit_slo.unwrap_or(1.0)),
                         requests,
                     ))
-                    .unwrap_or_else(|e| panic!("admission failed: {e}"));
+                    .unwrap_or_else(|e| cli.fail(format!("--tenants: {e}")));
                 let ideal = reg.tenant(id).ideal_latency().as_f64();
                 reg.set_contract(
                     id,
@@ -295,12 +307,12 @@ fn main() {
                     Seconds::new(explicit_slo.unwrap_or(24.0 * ideal)),
                     requests,
                 )
-                .unwrap_or_else(|e| panic!("contract rejected: {e}"));
+                .unwrap_or_else(|e| cli.fail(format!("--tenants: {e}")));
                 // The arrival process re-materializes against the
                 // scaled contract (default `fixed` is the historical
                 // deterministic clock, bit-identical).
                 reg.set_arrivals(id, arrival_process.clone())
-                    .unwrap_or_else(|e| panic!("--arrivals: {e}"));
+                    .unwrap_or_else(|e| cli.fail(format!("--arrivals: {e}")));
             }
 
             let batched = reg.serve();
@@ -551,9 +563,9 @@ fn main() {
                 });
                 let id = reg
                     .admit(TenantSpec::new(name, model, 1.0, Seconds::new(1.0), SWEEP_REQUESTS))
-                    .unwrap_or_else(|e| panic!("sweep admission failed: {e}"));
+                    .unwrap_or_else(|e| cli.fail(format!("--tenants: {e}")));
                 reg.set_arrivals(id, arrival_process.clone())
-                    .unwrap_or_else(|e| panic!("--arrivals: {e}"));
+                    .unwrap_or_else(|e| cli.fail(format!("--arrivals: {e}")));
                 ids.push(id);
             }
             // Fleet capacity at the batch cap: one full round of
@@ -579,7 +591,7 @@ fn main() {
                     for &id in &ids {
                         let ideal = reg.tenant(id).ideal_latency().as_f64();
                         reg.set_contract(id, rate, Seconds::new(24.0 * ideal), SWEEP_REQUESTS)
-                            .unwrap_or_else(|e| panic!("sweep contract rejected: {e}"));
+                            .unwrap_or_else(|e| cli.fail(format!("--load-sweep: {e}")));
                     }
                     let batched = reg.serve();
                     let naive = reg.serve_naive();

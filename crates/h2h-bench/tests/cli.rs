@@ -47,3 +47,18 @@ fn bad_values_exit_two() {
     assert_usage_exit(&run(SERVE, &["--policy", "fifo"]), 2);
     assert_usage_exit(&run(SERVE, &["--arrivals", "sometimes"]), 2);
 }
+
+#[test]
+fn out_of_range_serve_values_exit_two() {
+    assert_usage_exit(&run(SERVE, &["/dev/null", "--budget-frac", "1.5"]), 2);
+    assert_usage_exit(&run(SERVE, &["/dev/null", "--budget-frac", "nan"]), 2);
+    assert_usage_exit(&run(SERVE, &["/dev/null", "--max-batch", "0"]), 2);
+    assert_usage_exit(&run(SERVE, &["/dev/null", "--load-sweep", "0"]), 2);
+}
+
+#[test]
+fn refused_tenant_contracts_exit_two() {
+    // Zero requests and a negative rate are refused at admission.
+    assert_usage_exit(&run(SERVE, &["/dev/null", "--tenants", "VFS:0"]), 2);
+    assert_usage_exit(&run(SERVE, &["/dev/null", "--tenants", "CASIA-SURF:4:-1"]), 2);
+}

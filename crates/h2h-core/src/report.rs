@@ -224,7 +224,11 @@ pub fn serve_report(outcome: &crate::serve::ServeOutcome) -> String {
         let _ = writeln!(
             out,
             "  faults: {} transitions, {} repairs ({} attempted moves, {} staged, {} sheds)",
-            c.fault_transitions, c.repairs, c.repair_evals, c.staged_repairs, c.sheds
+            c.fault_transitions,
+            c.repairs,
+            c.repair_evals,
+            c.staged_repairs,
+            outcome.total_parks()
         );
         let _ = writeln!(
             out,
